@@ -5,7 +5,10 @@
 //! workload seed. It is written as N-Triples and bulk-loaded with
 //! `wodex load` once per (rung, seed) into a cache directory; every run
 //! then serves a fresh copy, so writes or compaction from one run never
-//! reach the next. None of this is timed.
+//! reach the next. A cache entry records a fingerprint of the `wodex`
+//! binary that loaded it and of the harness that generated the graph,
+//! and is loaded again when either differs, so a run never serves a
+//! store another build wrote. None of this is timed.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -78,7 +81,9 @@ pub fn prepare(
 ) -> Result<Prepared, String> {
     let dir = work.join("data").join(format!("{}-s{seed}", rung.name()));
     let info_path = dir.join("info.txt");
-    if !info_path.exists() {
+    let fingerprint = fingerprint(wodex)?;
+    let cached = read_info(&info_path).filter(|nums| nums[0] == fingerprint);
+    if cached.is_none() {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         let nt = dir.join("data.nt");
@@ -102,21 +107,45 @@ pub fn prepare(
         // The info file is written last: its presence marks a complete cache entry.
         std::fs::write(
             &info_path,
-            format!("{}\n{nt_bytes}\n{stored}\n", graph.len()),
+            format!("{fingerprint}\n{}\n{nt_bytes}\n{stored}\n", graph.len()),
         )
         .map_err(|e| e.to_string())?;
     }
-    let info = std::fs::read_to_string(&info_path).map_err(|e| e.to_string())?;
-    let nums: Vec<u64> = info.lines().filter_map(|l| l.parse().ok()).collect();
-    let [triples, nt_bytes, stored_bytes] = nums[..] else {
-        return Err(format!("corrupt {}", info_path.display()));
-    };
+    let [_, triples, nt_bytes, stored_bytes] =
+        read_info(&info_path).ok_or_else(|| format!("corrupt {}", info_path.display()))?;
     Ok(Prepared {
         seg_dir: dir.join("seg"),
         triples: triples as usize,
         nt_bytes,
         stored_bytes,
     })
+}
+
+/// A cache entry's info file: fingerprint, triples, N-Triples bytes,
+/// stored bytes.
+fn read_info(path: &Path) -> Option<[u64; 4]> {
+    parse_info(&std::fs::read_to_string(path).ok()?)
+}
+
+fn parse_info(text: &str) -> Option<[u64; 4]> {
+    let nums: Vec<u64> = text
+        .lines()
+        .map(|l| l.parse().ok())
+        .collect::<Option<_>>()?;
+    nums.try_into().ok()
+}
+
+/// A hash of the `wodex` binary (its loader and segment format) and of
+/// this harness's own executable (its graph generator).
+fn fingerprint(wodex: &Path) -> Result<u64, String> {
+    use std::hash::Hasher;
+    let me = std::env::current_exe().map_err(|e| format!("cannot locate the harness: {e}"))?;
+    let mut h = std::hash::DefaultHasher::new();
+    for path in [wodex, me.as_path()] {
+        let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        h.write(&bytes);
+    }
+    Ok(h.finish())
 }
 
 fn write_ntriples(graph: &Graph, path: &Path) -> Result<(), String> {
@@ -269,5 +298,18 @@ impl Model {
             Obj::Iri(i) => self.iris[*i as usize].clone(),
             Obj::Lit { lex, .. } => lex.to_string(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn info_holds_exactly_four_numbers() {
+        assert_eq!(parse_info("7\n100\n2000\n300\n"), Some([7, 100, 2000, 300]));
+        // An entry without a fingerprint is not reused.
+        assert_eq!(parse_info("100\n2000\n300\n"), None);
+        assert_eq!(parse_info("7\n100\nx\n300\n"), None);
     }
 }

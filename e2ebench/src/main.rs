@@ -32,16 +32,16 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use workloads::{Kind, Rng, Sample, Script};
+use workloads::{Draws, Kind, Sample, Script};
 
 /// Closed-loop clients, each with one connection open at a time.
 const CLIENTS: usize = 2;
 /// Boots per run; `setup_s` is their median and the last one serves.
 const BOOTS: usize = 3;
-/// Candidates for `tail_ms`, highest first: the first with at least ten
-/// samples beyond it is reported. p99 is left out on purpose: on a
-/// shared 2-CPU host it moves by a third between runs of the same code.
-const TAIL_PERCENTILES: [f64; 2] = [95.0, 90.0];
+/// The percentile behind `tail_ms`. Not p99: on a shared 2-CPU host it
+/// moves by a third between runs of the same code. A run with fewer than
+/// ten samples beyond p95 is refused rather than reported.
+const TAIL_P: f64 = 95.0;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -180,7 +180,12 @@ fn scripts(w: Workload, o: &Oracle, seed: u64, seconds: u64) -> Scripts {
         Workload::Explore => Scripts {
             scripts: (0..CLIENTS)
                 .map(|c| {
-                    workloads::explore_script(o, &mut Rng::new(seed, 10 + c as u64), seconds, c)
+                    workloads::explore_script(
+                        o,
+                        &mut Draws::new(o, seed, 10 + c as u64),
+                        seconds,
+                        c,
+                    )
                 })
                 .collect(),
             cyclic: vec![false; CLIENTS],
@@ -189,15 +194,20 @@ fn scripts(w: Workload, o: &Oracle, seed: u64, seconds: u64) -> Scripts {
         Workload::Sparql => Scripts {
             scripts: (0..CLIENTS)
                 .map(|c| {
-                    workloads::sparql_script(o, &mut Rng::new(seed, 20 + c as u64), 300 * seconds)
+                    workloads::sparql_script(
+                        o,
+                        &mut Draws::new(o, seed, 20 + c as u64),
+                        300 * seconds,
+                    )
                 })
                 .collect(),
             cyclic: vec![false; CLIENTS],
             crash_probe: false,
         },
         Workload::Write => {
-            let plan = workloads::write_plan(o, &mut Rng::new(seed, 30), seed, 30 * seconds);
-            let reader = workloads::reader_script(o, &mut Rng::new(seed, 31), &plan.written, 4096);
+            let plan = workloads::write_plan(o, &mut Draws::new(o, seed, 30), seed, 30 * seconds);
+            let reader =
+                workloads::reader_script(o, &mut Draws::new(o, seed, 31), &plan.written, 4096);
             Scripts {
                 scripts: vec![plan.commits, reader],
                 cyclic: vec![false, true],
@@ -498,14 +508,18 @@ fn end_to_end(
             s.why
         ));
     }
+    // `share` is the kind's part of all time the clients spent waiting on
+    // answers: it shows which layers the fixed mix actually loads.
     let kinds: BTreeSet<Kind> = p.samples.iter().map(|s| s.kind).collect();
+    let busy: f64 = ms_of(&p.samples, |_| true).iter().sum();
     for k in kinds {
         let v = ms_of(&p.samples, |x| x == k);
         let q = |x: f64| stats::percentile(&v, x).map_or("-".to_string(), |q| q.value.to_string());
         report.push(format!(
-            "latency {} n={} p50_ms={} p90_ms={}",
+            "latency {} n={} share={:.3} p50_ms={} p90_ms={}",
             k.name(),
             v.len(),
+            v.iter().sum::<f64>() / busy,
             q(50.0),
             q(90.0)
         ));
@@ -514,19 +528,13 @@ fn end_to_end(
     let aux = ms_of(&p.samples, |k| w.aux(k));
     let (pname, aname) = w.latency_names();
     let median_of = |v: &[f64]| stats::percentile(v, 50.0).map_or(f64::NAN, |q| q.value);
-    let tail_p = stats::highest_reportable(primary.len(), &TAIL_PERCENTILES);
-    let tail = tail_p.and_then(|q| stats::percentile(&primary, q).ok());
+    let tail = stats::percentile(&primary, TAIL_P).map_or(f64::NAN, |q| q.value);
     let out = vec![
         metric("setup_s", stats::median(&p.setups), "s", p.setups.len()),
         metric("rss_peak_mb", p.rss_peak_mb, "MB", 1),
         metric("ops_per_s", ok as f64 / p.seconds, "1/s", ok),
         metric("p50_ms", median_of(&primary), "ms", primary.len()),
-        metric(
-            "tail_ms",
-            tail.map_or(f64::NAN, |q| q.value),
-            "ms",
-            primary.len(),
-        ),
+        metric("tail_ms", tail, "ms", primary.len()),
     ];
     // The same numbers under their per-workload names, plus the rest.
     let mut named = vec![
@@ -537,22 +545,20 @@ fn end_to_end(
             primary.len(),
         ),
         metric(
-            &format!("{pname}_p{}_ms", tail_p.unwrap_or(0.0)),
+            &format!("{pname}_p{TAIL_P}_ms"),
             out[4].value,
             "ms",
             primary.len(),
         ),
         metric(&format!("{aname}_p50_ms"), median_of(&aux), "ms", aux.len()),
     ];
-    if let Some(q) = stats::highest_reportable(aux.len(), &TAIL_PERCENTILES) {
-        if let Ok(v) = stats::percentile(&aux, q) {
-            named.push(metric(
-                &format!("{aname}_p{q}_ms"),
-                v.value,
-                "ms",
-                v.samples,
-            ));
-        }
+    if let Ok(v) = stats::percentile(&aux, TAIL_P) {
+        named.push(metric(
+            &format!("{aname}_p{TAIL_P}_ms"),
+            v.value,
+            "ms",
+            v.samples,
+        ));
     }
     named.push(metric(
         "fail_frac",
@@ -596,9 +602,9 @@ fn per_layer(
 ) -> Result<Vec<Metric>, String> {
     use trace::ReplayOp;
     let seed = a.seed;
-    let probe_explore = workloads::explore_script(o, &mut Rng::new(seed, 40), 1, 0);
-    let probe_sparql = workloads::sparql_script(o, &mut Rng::new(seed, 41), 50);
-    let probe_commits = workloads::write_plan(o, &mut Rng::new(seed, 42), seed, 8).commits;
+    let probe_explore = workloads::explore_script(o, &mut Draws::new(o, seed, 40), 1, 0);
+    let probe_sparql = workloads::sparql_script(o, &mut Draws::new(o, seed, 41), 50);
+    let probe_commits = workloads::write_plan(o, &mut Draws::new(o, seed, 42), seed, 8).commits;
     // Replay exactly the operations each client sent, in its order.
     let sent = |c: usize| -> Vec<ReplayOp> {
         let mut seq: Vec<&Sample> = p.samples.iter().filter(|s| s.client == c).collect();

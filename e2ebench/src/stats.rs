@@ -44,15 +44,6 @@ pub fn percentile(values: &[f64], p: f64) -> Result<Quantile, String> {
     })
 }
 
-/// The highest of `candidates` (descending order) that [`percentile`]
-/// accepts for `n` samples.
-pub fn highest_reportable(n: usize, candidates: &[f64]) -> Option<f64> {
-    candidates.iter().copied().find(|&p| {
-        let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
-        n >= rank && n - rank >= MIN_BEYOND
-    })
-}
-
 /// The median of `values` by the nearest-rank rule.
 pub fn median(values: &[f64]) -> f64 {
     percentile(values, 50.0).map_or(f64::NAN, |q| q.value)
@@ -92,19 +83,5 @@ mod tests {
         assert_eq!((q.value, q.samples), (990.0, 1000));
         assert!(percentile(&v[..99], 90.0).is_err());
         assert!(percentile(&v[..100], 90.0).is_ok());
-    }
-
-    #[test]
-    fn highest_reportable_matches_percentile() {
-        let cands = [99.0, 95.0, 90.0, 50.0];
-        assert_eq!(highest_reportable(1000, &cands), Some(99.0));
-        assert_eq!(highest_reportable(999, &cands), Some(95.0));
-        assert_eq!(highest_reportable(120, &cands), Some(90.0));
-        assert_eq!(highest_reportable(20, &cands), Some(50.0));
-        for n in [20usize, 120, 999, 1000] {
-            let p = highest_reportable(n, &cands).unwrap();
-            let v: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            assert!(percentile(&v, p).is_ok());
-        }
     }
 }

@@ -17,6 +17,8 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+use wodex_synth::dist::Zipf;
+use wodex_synth::rng::{Rng, RngCore, SeedableRng, StdRng};
 
 pub const CLASSES: [&str; 5] = ["City", "Person", "Organisation", "Country", "Film"];
 /// `LIMIT` of the star join.
@@ -24,38 +26,36 @@ const STAR_LIMIT: usize = 20;
 /// Rows asked of `/explore/hits`.
 const HITS_LIMIT: usize = 10;
 
-/// SplitMix64: the benchmark's own seeded generator.
-pub struct Rng(u64);
+/// One seeded operation stream: `wodex-synth`'s generator, and Zipf
+/// samplers (exponent 1) that skew which subjects and population bounds
+/// requests draw, so low ranks (the generator's link hubs) are shared by
+/// many requests.
+pub struct Draws {
+    pub rng: StdRng,
+    subjects: Zipf,
+    populations: Zipf,
+}
 
-impl Rng {
-    pub fn new(seed: u64, stream: u64) -> Rng {
-        Rng(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03)
+impl Draws {
+    /// The stream `stream` of workload seed `seed`; streams of one seed
+    /// are independent.
+    pub fn new(o: &Oracle, seed: u64, stream: u64) -> Draws {
+        let mut mix = StdRng::seed_from_u64(seed ^ stream.rotate_left(32));
+        Draws {
+            rng: StdRng::seed_from_u64(mix.next_u64()),
+            subjects: Zipf::new(o.entities(), 1.0),
+            populations: Zipf::new(100_000, 1.0),
+        }
     }
 
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    /// A Zipf-ranked entity.
+    fn subject(&mut self) -> u32 {
+        (self.subjects.sample_rank(&mut self.rng) - 1) as u32
     }
 
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next_u64() % (hi - lo) as u64) as usize
-    }
-
-    /// A Zipf-like rank in `[0, n)`: log-uniform, so rank `k` has
-    /// probability about proportional to `1/(k+1)` and low ranks (the
-    /// generator's link hubs) are shared by many requests.
-    pub fn zipf(&mut self, n: usize) -> usize {
-        let r = (self.unit() * (n as f64).ln()).exp() as usize;
-        r.saturating_sub(1).min(n - 1)
+    /// A Zipf-ranked population step in `[0, 100000)`.
+    fn population(&mut self) -> usize {
+        self.populations.sample_rank(&mut self.rng) - 1
     }
 }
 
@@ -242,8 +242,7 @@ const ZOOM_BANDS: [(usize, usize); 3] = [(20, 200), (200, 2_000), (2_000, 20_000
 /// alternate) so every run has the same composition; the seed picks
 /// the values inside each band. `phase` offsets the rotation so the
 /// two clients do not request the same band at once.
-pub fn explore_script(o: &Oracle, rng: &mut Rng, tours: usize, phase: usize) -> Script {
-    let n = o.entities();
+pub fn explore_script(o: &Oracle, d: &mut Draws, tours: usize, phase: usize) -> Script {
     let mut ops = vec![get(
         Kind::Open,
         "/explore/open".into(),
@@ -266,7 +265,7 @@ pub fn explore_script(o: &Oracle, rng: &mut Rng, tours: usize, phase: usize) -> 
             Args::None,
         ));
         let (lo, hi) = CATEGORY_BANDS[t % 3];
-        let value = category_iri(rng.range(lo, hi));
+        let value = category_iri(d.rng.random_range(lo..hi));
         sel.filters.push((DCT_SUBJECT.to_string(), value.clone()));
         ops.push(get(
             Kind::Filter,
@@ -285,7 +284,7 @@ pub fn explore_script(o: &Oracle, rng: &mut Rng, tours: usize, phase: usize) -> 
             },
         ));
         let (lo, hi) = ZOOM_BANDS[(t + 1) % 3];
-        let hi = (37 * rng.range(lo, hi)) as f64;
+        let hi = (37 * d.rng.random_range(lo..hi)) as f64;
         sel.zooms.push((pred_population(), 0.0, hi));
         ops.push(get(
             Kind::Zoom,
@@ -326,7 +325,7 @@ pub fn explore_script(o: &Oracle, rng: &mut Rng, tours: usize, phase: usize) -> 
             },
             Args::Query(q),
         ));
-        let e = rng.zipf(n) as u32;
+        let e = d.subject();
         let (label, forward, backward) = o.details(e);
         ops.push(get(
             Kind::Details,
@@ -381,8 +380,10 @@ pub fn explore_script(o: &Oracle, rng: &mut Rng, tours: usize, phase: usize) -> 
 
 /// The query mix, in the order each client cycles through it: subject
 /// lookups 50%, 2-hop joins 20%, range FILTER counts 10%, star joins
-/// 10%, triangles 10%. A fixed order keeps every run's proportions
-/// exact; the seed picks each query's constants.
+/// 10%, triangles 10%. The weights are chosen so every query kind, and
+/// the layer it loads, shows in the figures; they are not taken from a
+/// query log. A fixed order keeps every run's proportions exact; the
+/// seed picks each query's constants.
 const MIX: [Kind; 10] = [
     Kind::Lookup,
     Kind::TwoHop,
@@ -401,22 +402,26 @@ const MIX: [Kind; 10] = [
 /// constant, a LIMITed star join, or a cyclic triangle through a
 /// constant. `round` rotates the range predicate and the star join's
 /// class and category band, as the tours do.
-pub fn sparql_op(o: &Oracle, rng: &mut Rng, kind: Kind, round: usize) -> Op {
+pub fn sparql_op(o: &Oracle, d: &mut Draws, kind: Kind, round: usize) -> Op {
     let n = o.entities();
     let links = pred_links();
     match kind {
-        Kind::Lookup => lookup_op(o, rng.zipf(n) as u32, None),
+        Kind::Lookup => lookup_op(o, d.subject(), None),
         Kind::Range => {
             let (pred, lo, hi) = if round.is_multiple_of(2) {
-                let lo = 37 * rng.zipf(100_000);
+                let lo = 37 * d.population();
                 (
                     pred_population(),
                     lo as f64,
-                    (lo + 37 * rng.range(10, 5_000)) as f64,
+                    (lo + 37 * d.rng.random_range(10usize..5_000)) as f64,
                 )
             } else {
-                let lo = rng.range(0, 1_000) as f64;
-                (pred_area(), lo, lo + rng.range(10, 300) as f64)
+                let lo = d.rng.random_range(0usize..1_000) as f64;
+                (
+                    pred_area(),
+                    lo,
+                    lo + d.rng.random_range(10usize..300) as f64,
+                )
             };
             sparql(
                 Kind::Range,
@@ -427,7 +432,7 @@ pub fn sparql_op(o: &Oracle, rng: &mut Rng, kind: Kind, round: usize) -> Op {
             )
         }
         Kind::TwoHop => {
-            let e = rng.zipf(n) as u32;
+            let e = d.subject();
             sparql(
                 Kind::TwoHop,
                 format!(
@@ -440,7 +445,7 @@ pub fn sparql_op(o: &Oracle, rng: &mut Rng, kind: Kind, round: usize) -> Op {
         Kind::Star => {
             let class = class_iri(CLASSES[round % CLASSES.len()]);
             let (lo, hi) = CATEGORY_BANDS[round % 3];
-            let cat = category_iri(rng.range(lo, hi));
+            let cat = category_iri(d.rng.random_range(lo..hi));
             sparql(
                 Kind::Star,
                 format!(
@@ -454,7 +459,7 @@ pub fn sparql_op(o: &Oracle, rng: &mut Rng, kind: Kind, round: usize) -> Op {
         _ => {
             // A uniform anchor: through a Zipf hub the closing pattern
             // has thousands of matches and one query would dominate a run.
-            let e = rng.range(0, n) as u32;
+            let e = d.rng.random_range(0..n) as u32;
             let s = entity_iri(e);
             sparql(
                 Kind::Triangle,
@@ -478,9 +483,9 @@ pub fn lookup_op(o: &Oracle, e: u32, written: Option<Arc<BTreeSet<String>>>) -> 
     )
 }
 
-pub fn sparql_script(o: &Oracle, rng: &mut Rng, queries: usize) -> Script {
+pub fn sparql_script(o: &Oracle, d: &mut Draws, queries: usize) -> Script {
     (0..queries)
-        .map(|i| sparql_op(o, rng, MIX[i % MIX.len()], i / MIX.len()))
+        .map(|i| sparql_op(o, d, MIX[i % MIX.len()], i / MIX.len()))
         .collect()
 }
 
@@ -502,20 +507,21 @@ pub fn nt_line(e: u32, value: &str) -> String {
 
 /// Seeded batches of 1–8 triples: inserts of fresh triples, and (one
 /// batch in four, once there is something to delete) deletes of the
-/// writer's own earlier inserts.
-pub fn write_plan(o: &Oracle, rng: &mut Rng, seed: u64, commits: usize) -> WritePlan {
+/// writer's own earlier inserts. One in four is chosen so deletes are
+/// exercised while the store still grows, not taken from traffic.
+pub fn write_plan(o: &Oracle, d: &mut Draws, seed: u64, commits: usize) -> WritePlan {
     let n = o.entities();
     let mut live: Vec<String> = Vec::new();
     let mut written = BTreeSet::new();
     let mut ops = Vec::with_capacity(commits);
     let mut next = 0u64;
     for _ in 0..commits {
-        let size = rng.range(1, 9);
-        let delete = !live.is_empty() && rng.unit() < 0.25;
+        let size = d.rng.random_range(1usize..9);
+        let delete = !live.is_empty() && d.rng.random_range(0.0..1.0) < 0.25;
         let lines: Vec<String> = if delete {
             (0..size.min(live.len()))
                 .map(|_| {
-                    let i = rng.range(0, live.len());
+                    let i = d.rng.random_range(0..live.len());
                     live.swap_remove(i)
                 })
                 .collect()
@@ -523,7 +529,7 @@ pub fn write_plan(o: &Oracle, rng: &mut Rng, seed: u64, commits: usize) -> Write
             (0..size)
                 .map(|_| {
                     next += 1;
-                    let line = nt_line(rng.range(0, n) as u32, &format!("w{seed}.{next}"));
+                    let line = nt_line(d.rng.random_range(0..n) as u32, &format!("w{seed}.{next}"));
                     written.insert(line.clone());
                     live.push(line.clone());
                     line
@@ -556,10 +562,11 @@ pub fn write_plan(o: &Oracle, rng: &mut Rng, seed: u64, commits: usize) -> Write
 }
 
 /// The reader beside the writer: point lookups and subscribe polls,
-/// three to one, cycling through `len` seeded operations.
+/// three to one (chosen, not taken from traffic), cycling through `len`
+/// seeded operations.
 pub fn reader_script(
     o: &Oracle,
-    rng: &mut Rng,
+    d: &mut Draws,
     written: &Arc<BTreeSet<String>>,
     len: usize,
 ) -> Script {
@@ -575,7 +582,7 @@ pub fn reader_script(
                     Args::None,
                 )
             } else {
-                lookup_op(o, rng.zipf(o.entities()) as u32, Some(Arc::clone(written)))
+                lookup_op(o, d.subject(), Some(Arc::clone(written)))
             }
         })
         .collect()
@@ -586,8 +593,8 @@ pub fn reader_script(
 pub struct Sample {
     pub kind: Kind,
     pub client: usize,
-    /// Position in the client's sequence of requests (its script index,
-    /// modulo the script length for a repeating script).
+    /// Position in the client's sequence of requests; the operation sent
+    /// is `script[index % script.len()]`, as a script may repeat.
     pub index: usize,
     pub ms: f64,
     pub ok: bool,
