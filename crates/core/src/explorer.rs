@@ -1,6 +1,7 @@
 //! The [`Explorer`] façade.
 
 use crate::WodexError;
+use std::sync::Arc;
 use wodex_approx::sampling::Reservoir;
 use wodex_explore::session::ExplorationSession;
 use wodex_explore::ResourceView;
@@ -11,9 +12,7 @@ use wodex_hetree::{HETree, Variant};
 use wodex_rdf::stats::DatasetStats;
 use wodex_rdf::{Graph, RdfError, Term, Value};
 use wodex_sparql::{Budget, BudgetedResult, Degraded, QueryError, QueryResult};
-use wodex_store::{
-    BufferPool, EncodedTriple, MemBackend, PagedTripleStore, Pattern, PoolStats, TripleStore,
-};
+use wodex_store::{Pattern, TripleStore};
 use wodex_synth::rng::{SeedableRng, StdRng};
 use wodex_viz::ldvm::{LdvmPipeline, View};
 use wodex_viz::profile::FieldProfile;
@@ -22,57 +21,6 @@ use wodex_viz::UserPreferences;
 
 /// Rows kept by the reservoir when a budgeted visualization degrades.
 const DEGRADED_VIEW_SAMPLE: usize = 512;
-
-/// Buffer-pool capacity (pages) backing [`Explorer::disk_view`].
-const DISK_VIEW_POOL_PAGES: usize = 64;
-
-/// A disk-backed scan handle over the dataset (see
-/// [`Explorer::disk_view`]).
-///
-/// All reads go through the checksummed, retrying paged path, so every
-/// method returns `Result` — a fault that survives the retry policy
-/// surfaces as a typed [`WodexError::Store`] instead of a panic.
-pub struct DiskView {
-    paged: PagedTripleStore<MemBackend>,
-    pool: BufferPool,
-}
-
-impl DiskView {
-    /// Number of triples on the paged store.
-    pub fn len(&self) -> usize {
-        self.paged.len()
-    }
-
-    /// True if no triples were materialized.
-    pub fn is_empty(&self) -> bool {
-        self.paged.len() == 0
-    }
-
-    /// Number of 8 KiB pages backing the store.
-    pub fn page_count(&self) -> u32 {
-        self.paged.page_count()
-    }
-
-    /// Every triple, read back through the buffer pool.
-    pub fn scan_all(&self) -> Result<Vec<EncodedTriple>, WodexError> {
-        Ok(self.paged.scan_all(&self.pool)?)
-    }
-
-    /// All triples of one encoded subject.
-    pub fn match_subject(&self, subject: u32) -> Result<Vec<EncodedTriple>, WodexError> {
-        Ok(self.paged.match_subject(&self.pool, subject)?)
-    }
-
-    /// Retry/giveup counters accumulated by the paged read path.
-    pub fn retry_stats(&self) -> wodex_store::RetrySnapshot {
-        self.paged.retry_stats()
-    }
-
-    /// Buffer-pool hit/miss counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-}
 
 /// A ready-to-render abstraction view of the dataset's link graph.
 pub struct GraphView {
@@ -129,7 +77,7 @@ impl GraphView {
 /// The unified framework: one value that loads a dataset and exposes
 /// every capability of the workspace.
 pub struct Explorer {
-    graph: std::sync::Arc<Graph>,
+    graph: Arc<Graph>,
     store: TripleStore,
     pipeline: LdvmPipeline,
     session: ExplorationSession,
@@ -139,18 +87,8 @@ pub struct Explorer {
 impl Explorer {
     /// Loads from an in-memory [`Graph`].
     pub fn from_graph(graph: Graph) -> Explorer {
-        let graph = std::sync::Arc::new(graph);
         let store = TripleStore::from_graph(&graph);
-        let prefs = UserPreferences::default();
-        let pipeline = LdvmPipeline::new((*graph).clone()).with_prefs(prefs.clone());
-        let session = ExplorationSession::shared(std::sync::Arc::clone(&graph));
-        Explorer {
-            graph,
-            store,
-            pipeline,
-            session,
-            prefs,
-        }
+        Explorer::assemble(Arc::new(graph), store)
     }
 
     /// Builds an explorer over an existing store — the entry point for
@@ -167,10 +105,14 @@ impl Explorer {
             .into_iter()
             .map(|t| store.decode(t))
             .collect();
-        let graph = std::sync::Arc::new(graph);
+        Explorer::assemble(Arc::new(graph), store)
+    }
+
+    /// Wires the pipeline and the session around one shared graph.
+    fn assemble(graph: Arc<Graph>, store: TripleStore) -> Explorer {
         let prefs = UserPreferences::default();
-        let pipeline = LdvmPipeline::new((*graph).clone()).with_prefs(prefs.clone());
-        let session = ExplorationSession::shared(std::sync::Arc::clone(&graph));
+        let pipeline = LdvmPipeline::new(Arc::clone(&graph)).with_prefs(prefs.clone());
+        let session = ExplorationSession::shared(Arc::clone(&graph));
         Explorer {
             graph,
             store,
@@ -192,8 +134,8 @@ impl Explorer {
 
     /// Replaces the preferences (re-wires the LDVM pipeline).
     pub fn with_prefs(mut self, prefs: UserPreferences) -> Explorer {
-        self.prefs = prefs.clone();
-        self.pipeline = LdvmPipeline::new((*self.graph).clone()).with_prefs(prefs);
+        self.pipeline = self.pipeline.with_prefs(prefs.clone());
+        self.prefs = prefs;
         self
     }
 
@@ -202,10 +144,9 @@ impl Explorer {
         &self.graph
     }
 
-    /// The shared graph handle. Servers open further
-    /// [`ExplorationSession`]s from this without copying the dataset.
-    pub fn shared_graph(&self) -> std::sync::Arc<Graph> {
-        std::sync::Arc::clone(&self.graph)
+    /// The shared graph handle.
+    pub fn shared_graph(&self) -> Arc<Graph> {
+        Arc::clone(&self.graph)
     }
 
     /// The dictionary-encoded store.
@@ -249,6 +190,12 @@ impl Explorer {
     /// The interactive exploration session (facets, zoom, search, undo).
     pub fn session(&mut self) -> &mut ExplorationSession {
         &mut self.session
+    }
+
+    /// A new session with no filters that shares the explorer's graph,
+    /// facet index and search index: opening it builds nothing.
+    pub fn open_session(&self) -> ExplorationSession {
+        self.session.fresh()
     }
 
     /// Keyword search (stateless preview).
@@ -558,22 +505,6 @@ impl Explorer {
         (view, Some(Degraded { reason, coverage }))
     }
 
-    /// Materializes the dataset onto the fault-tolerant paged storage
-    /// path and returns a handle for disk-backed scans.
-    ///
-    /// Page reads are checksummed and retried with backoff; errors that
-    /// survive retry surface as typed [`WodexError::Store`] values
-    /// instead of panics.
-    pub fn disk_view(&self) -> Result<DiskView, WodexError> {
-        let mut triples = self.store.match_pattern(Pattern::any());
-        triples.sort_unstable();
-        let paged = PagedTripleStore::bulk_load(MemBackend::new(), &triples)?;
-        Ok(DiskView {
-            paged,
-            pool: BufferPool::new(DISK_VIEW_POOL_PAGES),
-        })
-    }
-
     /// Builds the abstraction-hierarchy view of the dataset's link graph
     /// (graphVizdb/ASK-GraphView style).
     pub fn graph_view(&self) -> GraphView {
@@ -812,22 +743,6 @@ mod tests {
         assert_eq!(v.kind, VisKind::HistogramChart);
         assert!(v.svg.contains("<svg"));
         assert!(v.scene.in_bounds(1.0));
-    }
-
-    #[test]
-    fn disk_view_round_trips_the_store() {
-        let ex = explorer();
-        let dv = ex.disk_view().unwrap();
-        assert_eq!(dv.len(), ex.store().len());
-        assert!(dv.page_count() >= 1);
-        let all = dv.scan_all().unwrap();
-        assert_eq!(all.len(), ex.store().len());
-        let s = all[0][0];
-        let per_subject = dv.match_subject(s).unwrap();
-        assert!(!per_subject.is_empty());
-        assert!(per_subject.iter().all(|t| t[0] == s));
-        assert_eq!(dv.retry_stats().giveups, 0);
-        assert!(dv.pool_stats().misses > 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! avoidance").
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use wodex_rdf::{Graph, Term};
 
 /// A facet: a property whose values partition the resources.
@@ -21,13 +22,23 @@ pub struct Facet {
 }
 
 /// The faceted-browsing engine over one graph.
+///
+/// The index built from the graph is immutable and shared behind an
+/// [`Arc`]; only the selection belongs to one engine, so
+/// [`FacetEngine::fresh`] forks an engine for another user without
+/// rebuilding anything.
 pub struct FacetEngine {
+    index: Arc<FacetIndex>,
+    /// Active selections: predicate → chosen value keys.
+    selection: BTreeMap<String, BTreeSet<String>>,
+}
+
+/// The immutable part of a [`FacetEngine`].
+struct FacetIndex {
     /// (subject, predicate-iri, value-key) triples for facet candidates.
     rows: Vec<(Term, String, String)>,
     facets: Vec<Facet>,
     subjects: BTreeSet<Term>,
-    /// Active selections: predicate → chosen value keys.
-    selection: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Maximum distinct values for a property to qualify as a facet.
@@ -64,16 +75,26 @@ impl FacetEngine {
         let facet_set: BTreeSet<&String> = facets.iter().map(|f| &f.predicate).collect();
         rows.retain(|(_, p, _)| facet_set.contains(p));
         FacetEngine {
-            rows,
-            facets,
-            subjects,
+            index: Arc::new(FacetIndex {
+                rows,
+                facets,
+                subjects,
+            }),
+            selection: BTreeMap::new(),
+        }
+    }
+
+    /// An engine over the same index with nothing selected.
+    pub fn fresh(&self) -> FacetEngine {
+        FacetEngine {
+            index: Arc::clone(&self.index),
             selection: BTreeMap::new(),
         }
     }
 
     /// The available facets.
     pub fn facets(&self) -> &[Facet] {
-        &self.facets
+        &self.index.facets
     }
 
     /// Selects a value of a facet (adds to the disjunction within that
@@ -109,9 +130,10 @@ impl FacetEngine {
     /// The resources matching the current selection (all resources when
     /// nothing is selected).
     pub fn matching(&self) -> BTreeSet<Term> {
-        let mut result: BTreeSet<Term> = self.subjects.clone();
+        let mut result: BTreeSet<Term> = self.index.subjects.clone();
         for (pred, wanted) in &self.selection {
             let has: BTreeSet<Term> = self
+                .index
                 .rows
                 .iter()
                 .filter(|(_, p, v)| p == pred && wanted.contains(v))
@@ -129,9 +151,10 @@ impl FacetEngine {
         // Selection excluding this facet.
         let mut others = self.selection.clone();
         others.remove(predicate);
-        let mut base: BTreeSet<&Term> = self.subjects.iter().collect();
+        let mut base: BTreeSet<&Term> = self.index.subjects.iter().collect();
         for (pred, wanted) in &others {
             let has: BTreeSet<&Term> = self
+                .index
                 .rows
                 .iter()
                 .filter(|(_, p, v)| p == pred && wanted.contains(v))
@@ -140,7 +163,7 @@ impl FacetEngine {
             base = base.intersection(&has).copied().collect();
         }
         let mut counts: BTreeMap<String, BTreeSet<&Term>> = BTreeMap::new();
-        for (s, p, v) in &self.rows {
+        for (s, p, v) in &self.index.rows {
             if p == predicate && base.contains(s) {
                 counts.entry(v.clone()).or_default().insert(s);
             }

@@ -81,14 +81,15 @@ impl std::fmt::Display for Operation {
 
 /// A live exploration session over one graph.
 ///
-/// The graph is held behind an [`Arc`], so a server hosting thousands of
-/// concurrent sessions over the same loaded dataset pays for the facet
-/// engine and search index per session, never for another copy of the
-/// triples.
+/// The graph, the facet index and the search index are immutable and
+/// held behind [`Arc`]s. [`ExplorationSession::fresh`] forks a session
+/// that shares all three, so a server hosting thousands of concurrent
+/// sessions over the same loaded dataset builds the indexes once; each
+/// session owns only its facet selection and operation log.
 pub struct ExplorationSession {
     graph: Arc<Graph>,
     facets: FacetEngine,
-    search: SearchIndex,
+    search: Arc<SearchIndex>,
     log: Vec<Operation>,
 }
 
@@ -98,16 +99,27 @@ impl ExplorationSession {
         ExplorationSession::shared(Arc::new(graph))
     }
 
-    /// Opens a session over a shared graph handle — the multi-session
-    /// form: every session built from the same `Arc` reads the same
-    /// triples without cloning them.
+    /// Opens a session over a shared graph handle, building its facet
+    /// and search indexes. Further sessions over the same dataset should
+    /// come from [`ExplorationSession::fresh`], which builds nothing.
     pub fn shared(graph: Arc<Graph>) -> ExplorationSession {
         let facets = FacetEngine::new(&graph);
-        let search = SearchIndex::build(&graph);
+        let search = Arc::new(SearchIndex::build(&graph));
         ExplorationSession {
             graph,
             facets,
             search,
+            log: Vec::new(),
+        }
+    }
+
+    /// A new session with no filters and an empty log that shares this
+    /// session's graph and both indexes.
+    pub fn fresh(&self) -> ExplorationSession {
+        ExplorationSession {
+            graph: Arc::clone(&self.graph),
+            facets: self.facets.fresh(),
+            search: Arc::clone(&self.search),
             log: Vec::new(),
         }
     }
@@ -364,6 +376,20 @@ mod tests {
         // Three handles (local + two sessions), one graph.
         assert_eq!(Arc::strong_count(&g), 3);
         assert_eq!(a.overview(), b.overview());
+    }
+
+    #[test]
+    fn fresh_session_starts_empty_and_is_isolated() {
+        let mut source = ExplorationSession::new(graph());
+        source.filter(rdf::TYPE, "http://e.org/City");
+        let mut fork = source.fresh();
+        assert!(fork.log().is_empty());
+        assert_eq!(fork.matching().len(), 20);
+        fork.filter(rdf::TYPE, "http://e.org/Town");
+        fork.zoom("http://e.org/pop", 0.0, 500.0);
+        assert_eq!(fork.matching().len(), 2);
+        assert_eq!(source.matching().len(), 10);
+        assert_eq!(source.log().len(), 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! * [`http`] — request parsing, responses, chunked streaming with
 //!   trailers.
-//! * [`sessions`] — token-keyed [`ExplorationSession`]s over one shared
-//!   graph, with LRU eviction and TTL expiry.
+//! * [`sessions`] — token-keyed [`ExplorationSession`]s sharing one
+//!   graph and its indexes, with LRU eviction and TTL expiry.
 //! * [`server`] — the accept loop, bounded worker pool, and the
 //!   two-gate admission control (queue depth + queue deadline), both of
 //!   which shed with `503` + `Retry-After` instead of queueing without

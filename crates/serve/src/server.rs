@@ -339,7 +339,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let sessions = SessionManager::new(
-            explorer.shared_graph(),
+            explorer.open_session(),
             cfg.session_capacity,
             cfg.session_ttl,
         );

@@ -3,18 +3,18 @@
 //! §2 defines exploration as a *sequence* of operations whose state lives
 //! across requests; a web-facing explorer (SynopsViz, eLinda) therefore
 //! needs server-side sessions. The [`SessionManager`] keys live
-//! [`ExplorationSession`]s by token over **one shared graph handle** —
-//! thanks to `ExplorationSession::shared`, a thousand sessions cost a
-//! thousand facet engines and search indexes, never a second copy of the
-//! triples. Capacity is bounded: least-recently-used sessions are evicted
-//! once the cap is hit, and idle sessions past the TTL expire lazily.
+//! [`ExplorationSession`]s by token, each forked from one template with
+//! [`ExplorationSession::fresh`]: every session shares the template's
+//! graph, facet index and search index, and owns only its filters and
+//! operation log, so opening one builds nothing. Capacity is bounded:
+//! least-recently-used sessions are evicted once the cap is hit, and
+//! idle sessions past the TTL expire lazily.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use wodex_explore::ExplorationSession;
-use wodex_rdf::Graph;
 
 /// One live session plus its bookkeeping.
 struct Entry {
@@ -37,7 +37,8 @@ pub struct SessionStats {
 
 /// Token-keyed session store with LRU eviction and TTL expiry.
 pub struct SessionManager {
-    graph: Arc<Graph>,
+    /// Never handed out; every opened session is a fork of it.
+    template: ExplorationSession,
     capacity: usize,
     ttl: Duration,
     inner: Mutex<HashMap<String, Entry>>,
@@ -48,11 +49,12 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// A manager over one shared graph, holding at most `capacity` live
-    /// sessions, each expiring after `ttl` of inactivity.
-    pub fn new(graph: Arc<Graph>, capacity: usize, ttl: Duration) -> SessionManager {
+    /// A manager forking its sessions from `template`, holding at most
+    /// `capacity` live sessions, each expiring after `ttl` of
+    /// inactivity.
+    pub fn new(template: ExplorationSession, capacity: usize, ttl: Duration) -> SessionManager {
         SessionManager {
-            graph,
+            template,
             capacity: capacity.max(1),
             ttl,
             inner: Mutex::new(HashMap::new()),
@@ -63,13 +65,10 @@ impl SessionManager {
         }
     }
 
-    /// Opens a new session and returns its token.
-    ///
-    /// Builds the session's indexes *outside* the map lock, so opening a
-    /// session never stalls requests on other sessions. If the store is
-    /// full, the least-recently-used session is evicted.
+    /// Opens a new session and returns its token. If the store is full,
+    /// the least-recently-used session is evicted.
     pub fn open(&self) -> String {
-        let session = ExplorationSession::shared(Arc::clone(&self.graph));
+        let session = self.template.fresh();
         let token = format!("s{}", self.next_token.fetch_add(1, Ordering::Relaxed));
         let mut map = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         Self::sweep_expired(&mut map, self.ttl, &self.expired);
@@ -142,23 +141,27 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wodex_rdf::{Term, Triple};
+    use wodex_rdf::{Graph, Term, Triple};
 
-    fn graph() -> Arc<Graph> {
+    fn template() -> ExplorationSession {
         let mut g = Graph::new();
         for i in 0..10 {
             g.insert(Triple::iri(
                 &format!("http://e.org/e{i}"),
                 wodex_rdf::vocab::rdf::TYPE,
-                Term::iri("http://e.org/Thing"),
+                Term::iri(if i % 2 == 0 {
+                    "http://e.org/Thing"
+                } else {
+                    "http://e.org/Place"
+                }),
             ));
         }
-        Arc::new(g)
+        ExplorationSession::new(g)
     }
 
     #[test]
     fn open_and_use_a_session() {
-        let m = SessionManager::new(graph(), 8, Duration::from_secs(60));
+        let m = SessionManager::new(template(), 8, Duration::from_secs(60));
         let t = m.open();
         let n = m.with(&t, |s| s.matching().len()).unwrap();
         assert_eq!(n, 10);
@@ -168,20 +171,25 @@ mod tests {
     }
 
     #[test]
-    fn sessions_share_the_graph() {
-        let g = graph();
-        let m = SessionManager::new(Arc::clone(&g), 8, Duration::from_secs(60));
-        let base = Arc::strong_count(&g);
+    fn sessions_share_one_facet_index() {
+        let m = SessionManager::new(template(), 8, Duration::from_secs(60));
         let a = m.open();
         let b = m.open();
-        // Each session adds exactly one Arc handle — no graph clones.
-        assert_eq!(Arc::strong_count(&g), base + 2);
         assert_ne!(a, b);
+        // rdf:type takes two values here, so it is a facet and the slice
+        // is a real allocation, not an empty Vec's dangling pointer.
+        assert!(!m.template.facets().facets().is_empty());
+        let facets = |t: &str| m.with(t, |s| s.facets().facets().as_ptr()).unwrap();
+        assert!(std::ptr::eq(facets(&a), facets(&b)));
+        assert!(std::ptr::eq(
+            facets(&a),
+            m.template.facets().facets().as_ptr()
+        ));
     }
 
     #[test]
     fn lru_evicts_the_coldest_session() {
-        let m = SessionManager::new(graph(), 2, Duration::from_secs(60));
+        let m = SessionManager::new(template(), 2, Duration::from_secs(60));
         let a = m.open();
         let b = m.open();
         // Touch `a` so `b` is the LRU victim.
@@ -197,7 +205,7 @@ mod tests {
 
     #[test]
     fn ttl_expires_idle_sessions() {
-        let m = SessionManager::new(graph(), 8, Duration::from_millis(10));
+        let m = SessionManager::new(template(), 8, Duration::from_millis(10));
         let t = m.open();
         std::thread::sleep(Duration::from_millis(25));
         assert!(m.with(&t, |_| ()).is_none());
@@ -207,7 +215,7 @@ mod tests {
 
     #[test]
     fn session_state_persists_across_requests() {
-        let m = SessionManager::new(graph(), 8, Duration::from_secs(60));
+        let m = SessionManager::new(template(), 8, Duration::from_secs(60));
         let t = m.open();
         m.with(&t, |s| {
             s.filter(wodex_rdf::vocab::rdf::TYPE, "http://e.org/Thing")

@@ -23,6 +23,7 @@ use crate::profile::{profile_property, DataKind, FieldProfile};
 use crate::recommend::{recommend, Recommendation, VisKind};
 use crate::render;
 use crate::scene::Scene;
+use std::sync::Arc;
 use wodex_graph::adjacency::Adjacency;
 use wodex_graph::layout::{self, FrParams, Layout};
 use wodex_rdf::vocab::geo;
@@ -115,16 +116,17 @@ pub trait Analyzer: Send + Sync {
 
 /// The four-stage pipeline over one source graph.
 pub struct LdvmPipeline {
-    source: Graph,
+    source: Arc<Graph>,
     prefs: UserPreferences,
     analyzers: Vec<Box<dyn Analyzer>>,
 }
 
 impl LdvmPipeline {
-    /// Stage 1: wraps the source data.
-    pub fn new(source: Graph) -> LdvmPipeline {
+    /// Stage 1: wraps the source data. A shared `Arc<Graph>` is held
+    /// as is, never copied.
+    pub fn new(source: impl Into<Arc<Graph>>) -> LdvmPipeline {
         LdvmPipeline {
-            source,
+            source: source.into(),
             prefs: UserPreferences::default(),
             analyzers: Vec::new(),
         }

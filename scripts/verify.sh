@@ -14,6 +14,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline (workspace)"
 cargo test --workspace -q --offline
 
+echo "==> e2ebench build + self-tests (compiles against the crates' public API)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -121,7 +121,7 @@ fn dispatch(cmd: &str, ex: &Explorer, rest: &[String]) -> i32 {
             0
         }
         "facets" => {
-            let session = wodex::explore::ExplorationSession::shared(ex.shared_graph());
+            let session = ex.open_session();
             for f in session.facets().facets() {
                 println!(
                     "{} ({} values)",

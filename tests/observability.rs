@@ -21,6 +21,7 @@ use wodex::core::Explorer;
 use wodex::resilience::{RetryPolicy, RetryStats};
 use wodex::serve::{ServeConfig, Server};
 use wodex::sparql::{Budget, QueryTrace, Stage};
+use wodex::store::{BufferPool, MemBackend, PagedTripleStore, Pattern};
 use wodex::synth::dbpedia::{self, DbpediaConfig};
 
 /// Serializes tests that compare global-counter deltas.
@@ -49,8 +50,10 @@ fn explorer(entities: usize) -> Explorer {
 #[test]
 fn pool_lookups_conserve_under_concurrent_scans() {
     let _guard = lock();
-    let ex = explorer(200);
-    let dv = ex.disk_view().expect("disk view");
+    let mut triples = explorer(200).store().match_pattern(Pattern::any());
+    triples.sort_unstable();
+    let paged = PagedTripleStore::bulk_load(MemBackend::new(), &triples).expect("bulk load");
+    let pool = BufferPool::new(64);
     let before = (
         counter("wodex_store_pool_lookups_total"),
         counter("wodex_store_pool_hits_total"),
@@ -58,14 +61,14 @@ fn pool_lookups_conserve_under_concurrent_scans() {
     );
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let dv = &dv;
+            let (paged, pool) = (&paged, &pool);
             scope.spawn(move || {
                 for round in 0..4 {
-                    let all = dv.scan_all().expect("scan");
+                    let all = paged.scan_all(pool).expect("scan");
                     assert!(!all.is_empty());
                     // Point reads mixed in so hits and misses interleave.
                     let subject = all[(t * 31 + round * 7) % all.len()][0];
-                    let per = dv.match_subject(subject).expect("match");
+                    let per = paged.match_subject(pool, subject).expect("match");
                     assert!(!per.is_empty());
                 }
             });
@@ -82,7 +85,7 @@ fn pool_lookups_conserve_under_concurrent_scans() {
         "every pool lookup must resolve to exactly one hit or miss"
     );
     // The per-instance stats tell the same story for this pool alone.
-    let s = dv.pool_stats();
+    let s = pool.stats();
     assert!(s.hits + s.misses > 0);
 }
 

@@ -458,17 +458,34 @@ fn sessions_are_isolated_and_concurrent() {
     let t1 = json_str(&post(addr, "/explore/open", "").text(), "session").unwrap();
     let t2 = json_str(&post(addr, "/explore/open", "").text(), "session").unwrap();
     assert_ne!(t1, t2);
-    get(
+    let filtered = get(
         addr,
         &format!("/explore/filter?session={t1}&predicate=http%3A%2F%2Fwww.w3.org%2F1999%2F02%2F22-rdf-syntax-ns%23type&value=http%3A%2F%2Fdbp.example.org%2Fontology%2FCity"),
     );
-    // Session 2 is untouched by session 1's filter.
-    let ops2 = json_str(
-        &get(addr, &format!("/explore/search?session={t2}&q=city")).text(),
-        "operations",
+    let filtered: usize = json_str(&filtered.text(), "matching")
+        .unwrap()
+        .parse()
+        .unwrap();
+    // Session 2 is untouched by session 1's filter: its first op sees
+    // exactly what the same op sees on a session opened afterwards.
+    let search2 = get(addr, &format!("/explore/search?session={t2}&q=city")).text();
+    assert_eq!(json_str(&search2, "operations").unwrap(), "1");
+    let t3 = json_str(&post(addr, "/explore/open", "").text(), "session").unwrap();
+    let search3 = get(addr, &format!("/explore/search?session={t3}&q=city")).text();
+    assert_eq!(
+        json_str(&search2, "matching").unwrap(),
+        json_str(&search3, "matching").unwrap()
+    );
+    // Undoing session 3's only op yields the unfiltered count; undoing
+    // session 1's filter restores it there too.
+    let unfiltered = json_str(
+        &get(addr, &format!("/explore/undo?session={t3}")).text(),
+        "matching",
     )
     .unwrap();
-    assert_eq!(ops2, "1");
+    assert!(filtered < unfiltered.parse::<usize>().unwrap());
+    let undo1 = get(addr, &format!("/explore/undo?session={t1}")).text();
+    assert_eq!(json_str(&undo1, "matching").unwrap(), unfiltered);
     // Concurrent hammering from several clients neither hangs nor drops.
     let handles: Vec<_> = (0..8)
         .map(|i| {
